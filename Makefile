@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep bench-service bench-diffcheck bench-leakage table1
+.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep bench-service bench-diffcheck bench-leakage table1 perfbench
 
 test: diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke smoke-service-load
 	$(PYTHON) -m pytest -q
@@ -106,3 +106,10 @@ bench-service:
 
 table1:
 	$(PYTHON) -m repro.cli table1 --jobs 0
+
+# The end-to-end benchmark (perfbench/README.md, BENCHMARK.json): the
+# two untraced workloads at seed 1, each printing its metrics and a
+# final JSON line.  About two minutes on a 2-core VM.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload table1-cold --seed 1 --seconds 50 --trace 0
+	$(PYTHON) perfbench/run.py --workload generated-stream --seed 1 --seconds 50 --trace 0

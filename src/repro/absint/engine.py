@@ -103,6 +103,7 @@ class Engine:
         self._domain = domain
         self._dfa = trail_dfa
         self._transfer = TransferFunctions(cfg, summaries)
+        self._locals = cfg.block_locals()
         self._widening_delay = widening_delay
         self._narrowing_passes = narrowing_passes
         self._max_iterations = max_iterations
@@ -343,7 +344,15 @@ class Engine:
         state: AbstractState,
         adjacency: Dict[Node, List[ProductEdgeInfo]],
     ) -> List[Tuple[ProductEdgeInfo, AbstractState]]:
+        """The out-state of each product edge leaving ``node``: the block's
+        effect, refined by the branch guard, with the block-local registers
+        (dead past the terminator, see ``ControlFlowGraph.block_locals``)
+        projected out once the guard has read them.  The return edge keeps
+        them: the exit invariant is the procedure's final state, read by
+        callers of the analysis, and projecting into a sink saves nothing."""
         out_state, conds = self._transfer.block_effect(node[0], state)
+        local = self._locals[node[0]]
+        exit_id = self._cfg.exit_id
         results = []
         for e in adjacency.get(node, []):
             edge_state = out_state
@@ -351,5 +360,7 @@ class Engine:
                 cons = self._transfer.branch_constraint(node[0], e.branch_taken, conds)
                 if cons is not None:
                     edge_state = edge_state.guard(cons)
+            if e.dst[0] != exit_id:
+                edge_state = edge_state.project_out(local)
             results.append((e, edge_state))
         return results

@@ -18,16 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.graph import ControlFlowGraph, len_var
 from repro.domains.base import AbstractState
 from repro.domains.linexpr import LinCons, LinExpr
 from repro.ir import instr as ir
 from repro.perf import runtime
-
-
-def len_var(reg_name: str) -> str:
-    """The domain variable tracking the length of array register ``reg``."""
-    return reg_name + "#len"
 
 
 def operand_expr(operand: ir.Operand, cfg: ControlFlowGraph) -> Optional[LinExpr]:

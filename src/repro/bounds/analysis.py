@@ -882,9 +882,15 @@ class BoundAnalysis:
         incremental.publish_loop_artifacts(self._trail, artifacts)
 
     def _tracked_vars(self, loop: GraphLoop) -> Set[str]:
-        """Integer variables worth seeding for the transition relation."""
+        """Integer variables worth seeding for the transition relation.
+
+        Block-local registers are left out: the engine projects them away
+        at their block's exit, so they never reach a back edge and an
+        ``@pre`` copy of one could only ever relate to ⊤.
+        """
         tracked: Set[str] = set()
         blocks = {n[0] for n in loop.body}
+        block_locals = self._cfg.block_locals()
         for bid in blocks:
             block = self._cfg.blocks[bid]
             regs: List[ir.Reg] = []
@@ -901,7 +907,7 @@ class BoundAnalysis:
                     tracked.add(len_var(reg.name))
                 else:
                     tracked.add(reg.name)
-        return tracked
+        return tracked.difference(*(block_locals[bid] for bid in blocks))
 
 
 def compute_bound(

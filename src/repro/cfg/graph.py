@@ -14,12 +14,17 @@ alphabet over which trails (Section 4 of the paper) are defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.instr import Branch, Instr, Return, Terminator
 from repro.lang import ast
 
 Edge = Tuple[int, int]
+
+
+def len_var(reg_name: str) -> str:
+    """The domain variable tracking the length of array register ``reg``."""
+    return reg_name + "#len"
 
 
 @dataclass
@@ -91,6 +96,7 @@ class ControlFlowGraph:
         self.reg_kinds: Dict[str, str] = {}
         self._succ: Dict[int, List[int]] = {}
         self._pred: Dict[int, List[int]] = {}
+        self._locals: Optional[Dict[int, FrozenSet[str]]] = None
         self._rebuild_edges()
 
     # -- structure ------------------------------------------------------------
@@ -136,6 +142,50 @@ class ControlFlowGraph:
         if not isinstance(block.term, Branch):
             raise ValueError("b%d is not a branch block" % bid)
         return (bid, block.term.on_true), (bid, block.term.on_false)
+
+    def block_locals(self) -> Dict[int, FrozenSet[str]]:
+        """The block-local domain variables of every block, by block id.
+
+        A register is local to block ``b`` when ``b`` defines it, every
+        use of it (terminators included) lies in ``b`` after a definition
+        there, and it is not a parameter.  Such a register is dead at
+        every block boundary, so an analysis may drop it from its state
+        once ``b``'s terminator has read it.  An array register brings
+        its length shadow ``len_var(reg)``.  Derived from def/use alone
+        (never from register names) and computed once per graph.
+        """
+        if self._locals is not None:
+            return self._locals
+        params = {p.name for p in self.params}
+        defined: Dict[int, Set[str]] = {}
+        used_in: Dict[str, Set[int]] = {}
+        exposed: Set[str] = set()
+        for bid, block in self.blocks.items():
+            defs: Set[str] = set()
+            steps = [(i.uses(), i.defs()) for i in block.instrs]
+            if block.term is not None:
+                steps.append((block.term.uses(), []))
+            for uses, out in steps:
+                for reg in uses:
+                    used_in.setdefault(reg.name, set()).add(bid)
+                    if reg.name not in defs:
+                        exposed.add(reg.name)
+                defs.update(reg.name for reg in out)
+            defined[bid] = defs
+        result: Dict[int, FrozenSet[str]] = {}
+        for bid, defs in defined.items():
+            names: Set[str] = set()
+            for name in defs:
+                if name in params or name in exposed:
+                    continue
+                if not used_in.get(name, set()) <= {bid}:
+                    continue
+                names.add(name)
+                if self.reg_kinds.get(name) == "arr":
+                    names.add(len_var(name))
+            result[bid] = frozenset(names)
+        self._locals = result
+        return result
 
     @property
     def size(self) -> int:

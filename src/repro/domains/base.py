@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.domains.linexpr import LinCons, LinExpr
 
@@ -56,6 +56,12 @@ class AbstractState(abc.ABC):
     @abc.abstractmethod
     def forget(self, var: str) -> "AbstractState":
         """Project the variable away (keep it, unconstrained)."""
+
+    @abc.abstractmethod
+    def project_out(self, names: AbstractSet[str]) -> "AbstractState":
+        """Drop ``names`` from the state altogether (unknown names are
+        ignored).  Exact: ``bounds_of`` of any expression over the
+        remaining variables is unchanged, and bottom stays bottom."""
 
     # -- queries ----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ domain laws in the property tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains.base import AbstractState, Bound, Domain
 from repro.domains.linexpr import LinCons, LinExpr, RelOp
@@ -213,6 +213,14 @@ class IntervalState(AbstractState):
             return self
         boxes = dict(self._boxes)
         boxes.pop(var, None)
+        return IntervalState(boxes)
+
+    def project_out(self, names: AbstractSet[str]) -> "IntervalState":
+        if self._bottom:
+            return self
+        boxes = {v: box for v, box in self._boxes.items() if v not in names}
+        if len(boxes) == len(self._boxes):
+            return self
         return IntervalState(boxes)
 
     # -- queries --------------------------------------------------------------------------

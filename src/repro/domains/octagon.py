@@ -16,7 +16,7 @@ Strong closure = shortest paths + the strengthening step
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
@@ -351,6 +351,20 @@ class OctagonState(AbstractState):
         m[x][x] = 0
         m[x + 1][x + 1] = 0
         return OctagonState(state._vars, m, False, closed=True)
+
+    def project_out(self, names: AbstractSet[str]) -> "OctagonState":
+        """The submatrix of the strongly closed DBM over the remaining
+        variables (both ``±v`` rows of each): exact, and still closed."""
+        if self._bottom or not any(name in self._index for name in names):
+            return self
+        state = self._close()
+        if state._bottom:
+            return state
+        kept = [v for v in state._vars if v not in names]
+        keep = [i for v in kept for i in (state._index[v], state._index[v] + 1)]
+        m = state._m
+        matrix: Matrix = [[m[i][j] for j in keep] for i in keep]
+        return OctagonState(kept, matrix, False, closed=True)
 
     # -- queries ------------------------------------------------------------------------
 

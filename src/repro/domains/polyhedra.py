@@ -20,7 +20,7 @@ for an over-approximating analysis.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from repro.domains.base import AbstractState, Bound, Domain
 from repro.domains.linexpr import LinCons, LinExpr, RelOp
@@ -204,6 +204,15 @@ class PolyhedraState(AbstractState):
         if self._bottom:
             return self
         return PolyhedraState(_eliminate(self._cons, var))
+
+    def project_out(self, names: AbstractSet[str]) -> "PolyhedraState":
+        if self.is_bottom():
+            return self
+        cons = self._cons
+        present = {v for e in cons for v in e.coeffs}
+        for var in sorted(present & set(names)):
+            cons = _eliminate(cons, var)
+        return self if cons is self._cons else PolyhedraState(cons)
 
     # -- queries ---------------------------------------------------------------------
 

@@ -26,7 +26,8 @@ lazily on queries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
@@ -512,6 +513,26 @@ class ZoneState(AbstractState):
             m[j][x] = INF
         row_x[x] = 0
         return ZoneState(state._vars, m, False, closed=True)
+
+    def project_out(self, names: AbstractSet[str]) -> "ZoneState":
+        """The submatrix of the closed DBM over the remaining variables:
+        a closed matrix already holds every bound derivable through the
+        dropped variables, so the projection is exact and stays closed."""
+        if self._bottom:
+            return self
+        index = self._index
+        if not any(name in index for name in names):
+            return self
+        state = self._close()
+        if state._bottom:
+            return state
+        kept = [v for v in state._vars if v not in names]
+        if not kept:  # itemgetter(0) returns a bare entry, not a one-entry row
+            return ZoneState((), None, False, closed=True)
+        keep = [0] + [index[v] for v in kept]
+        pick = itemgetter(*keep)
+        m = state._m
+        return ZoneState(kept, [list(pick(m[i])) for i in keep], False, closed=True)
 
     # -- queries -----------------------------------------------------------------------
 

@@ -31,6 +31,7 @@ so a plain lock is cheap enough.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,6 +68,9 @@ class Child:
         self.bucket_counts: Optional[List[int]] = None
         self.sum = 0.0
         self.count = 0
+        # Observed extremes: quantile estimates are clamped to them.
+        self.min = math.inf
+        self.max = -math.inf
         if family.kind == "histogram":
             self.bucket_counts = [0] * len(family.buckets)
 
@@ -104,6 +108,8 @@ class Child:
             # Values beyond the last bound land only in +Inf (count).
             self.sum += value
             self.count += 1
+            self.min = min(self.min, value)
+            self.max = max(self.max, value)
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated ``q``-quantile (``0 < q <= 1``) of the observed
@@ -113,7 +119,9 @@ class Child:
         p50/p99 straight from its latency histograms.
 
         None before the first observation.  Ranks beyond the last bucket
-        bound clamp to that bound (the histogram cannot see further).
+        bound fall on that bound.  Either way the estimate is clamped to
+        the observed ``[min, max]``: interpolating inside a wide bucket
+        would otherwise report a p99 above the largest latency seen.
         """
         if not 0.0 < q <= 1.0:
             raise ValueError("quantile must be in (0, 1], got %r" % q)
@@ -124,6 +132,7 @@ class Child:
             rank = q * self.count
             seen = 0
             bounds = self._family.buckets
+            estimate = bounds[-1]  # unless found below: the +Inf overflow
             for i, in_bucket in enumerate(self.bucket_counts):
                 if in_bucket == 0:
                     continue
@@ -131,9 +140,10 @@ class Child:
                     lower = bounds[i - 1] if i > 0 else 0.0
                     upper = bounds[i]
                     fraction = (rank - seen) / in_bucket
-                    return lower + (upper - lower) * fraction
+                    estimate = lower + (upper - lower) * fraction
+                    break
                 seen += in_bucket
-            return bounds[-1]  # rank lives in the +Inf overflow
+            return min(max(estimate, self.min), self.max)
 
 
 class Family:

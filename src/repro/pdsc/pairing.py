@@ -119,6 +119,16 @@ class PairSemantics:
         )
         self._transfer = TransferFunctions(cfg, summaries=self._summaries)
         self._rename = rename_map(cfg)
+        # Each copy's block-local registers, dropped at the block's exit
+        # (copy 2's under their renamed names) except on the return edge,
+        # as in the single-copy engine.
+        self._locals = {
+            False: cfg.block_locals(),
+            True: {
+                bid: frozenset(self._rename.get(v, v + SUFFIX) for v in names)
+                for bid, names in cfg.block_locals().items()
+            },
+        }
         # Teach the shared transfer functions the kinds of the renamed
         # copy-2 registers (extra keys are inert for other analyses).
         for reg, kind in list(cfg.reg_kinds.items()):
@@ -195,6 +205,7 @@ class PairSemantics:
             if isinstance(instr, ir.CallInstr):
                 state = self._charge_call(instr, state, copy2)
         state = state.assign(cost_var, LinExpr.var(cost_var) + block.cost)
+        local = self._locals[copy2][block_id]
         out: List[Tuple[int, AbstractState]] = []
         succs = cfg.successors(block_id)
         is_branch = isinstance(block.term, ir.Branch) and len(succs) == 2
@@ -205,6 +216,8 @@ class PairSemantics:
                 cons = self._branch_constraint(block_id, taken, conds, copy2)
                 if cons is not None:
                     edge_state = edge_state.guard(cons)
+            if succ != cfg.exit_id:
+                edge_state = edge_state.project_out(local)
             out.append((succ, edge_state))
         return out
 

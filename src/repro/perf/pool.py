@@ -257,12 +257,23 @@ class WarmPool:
             next_chunk = 0
             live: Dict[object, Tuple[int, List[T]]] = {}
             broken = False
-            try:
+
+            def submit_more() -> bool:
+                """Fill the free worker slots; False once the pool broke
+                (a worker can die before the first completion arrives)."""
+                nonlocal next_chunk
                 while next_chunk < len(chunks) and len(live) < self.workers:
                     start, chunk = chunks[next_chunk]
-                    live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
+                    try:
+                        live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
+                    except BrokenExecutor:
+                        return False
                     next_chunk += 1
-                while live:
+                return True
+
+            try:
+                broken = not submit_more()
+                while live and not broken:
                     done, _ = wait(live, return_when=FIRST_COMPLETED)
                     for future in done:
                         start, chunk = live.pop(future)
@@ -281,16 +292,8 @@ class WarmPool:
                             outcome = exc
                         fill(start, chunk, outcome)
                     settle_prefix()
-                    while (
-                        not broken
-                        and next_chunk < len(chunks)
-                        and len(live) < self.workers
-                    ):
-                        start, chunk = chunks[next_chunk]
-                        live[pool.submit(_run_chunk, fn, chunk)] = (start, chunk)
-                        next_chunk += 1
-                    if broken:
-                        break
+                    if not broken:
+                        broken = not submit_more()
             except KeyboardInterrupt:
                 self._discard_executor()
                 raise

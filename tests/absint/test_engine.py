@@ -78,6 +78,28 @@ class TestPlainAnalysis:
         assert lo == 0 and hi == 0
         assert exit_inv.entails(LinCons.ge(x("n"), 0))
 
+    def test_block_local_temps_are_projected_after_the_guard(self):
+        source = """
+        proc f(public n: int): int {
+            var i: int = 0;
+            while (i < n + 1) { i = i + 2; }
+            return i;
+        }
+        """
+        cfg = compile_one(source, "f")
+        result = Engine(cfg, ZONE).analyze()
+        header = cfg.branch_blocks()[0]
+        temps = cfg.block_locals()[header]
+        assert temps  # the lifter's n + 1 and i < t0
+        body, after = (edge[1] for edge in cfg.branch_edges(header))
+        for block in (header, body, after):
+            inv = result.block_invariant(block)
+            mentioned = {v for cons in inv.constraints() for v in cons.variables()}
+            assert not mentioned & temps
+        # The guard read the temps before they were dropped.
+        assert result.block_invariant(body).entails(LinCons.le(x("i"), x("n")))
+        assert result.block_invariant(after).entails(LinCons.ge(x("i"), x("n") + 1))
+
     def test_not_operator_flips_refinement(self):
         source = """
         proc f(a: int): int {

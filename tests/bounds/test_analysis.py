@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bounds import compute_bound, compute_proc_bounds, default_summaries
+from repro.bounds.analysis import BoundAnalysis
 from repro.domains import DOMAINS
 from repro.interp import Interpreter
 from tests.helpers import compile_one, compile_to_cfgs
@@ -87,6 +88,27 @@ class TestLoops:
         check_contains(
             source, "f", [[[]], [[1]], [[1, 2, 3, 4]]], lambda a: {"a#len": len(a[0])}
         )
+
+    def test_block_local_temps_get_no_seed_copy(self):
+        # The guard reads len(a) through a header temporary; the rank is
+        # rewritten to header-entry values (a#len - i), so no temporary
+        # needs an @pre copy and the count stays exact.
+        source = """
+        proc f(a: byte[]): int {
+            var i: int = 0;
+            while (i < len(a)) { i = i + 1; }
+            return i;
+        }
+        """
+        cfg = compile_one(source, "f")
+        analysis = BoundAnalysis(cfg, ZONE)
+        result = analysis.compute()
+        (loop,) = analysis._loops
+        seeded = analysis._tracked_vars(loop)
+        assert {"i", "a#len"} <= seeded
+        assert not seeded & set().union(*cfg.block_locals().values())
+        ((_, ib),) = list(result.loop_bounds.items())
+        assert ib.exact and str(ib.upper) == "a#len"
 
     def test_nested_loops_quadratic(self):
         source = """

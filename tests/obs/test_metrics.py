@@ -166,13 +166,14 @@ class TestHistogramQuantile:
 
     def test_interpolates_inside_one_bucket(self, registry):
         # Buckets (0,1], (1,2]: four observations in the second bucket
-        # put every quantile on the interpolated line through (1, 2).
+        # put every quantile on the interpolated line through (1, 2),
+        # clamped to the observed [1.1, 1.9].
         histo = registry.histogram("repro_q", buckets=(1.0, 2.0))._default()
-        for _ in range(4):
-            histo.observe(1.5)
+        for value in (1.1, 1.4, 1.6, 1.9):
+            histo.observe(value)
         assert histo.quantile(0.25) == pytest.approx(1.25)
         assert histo.quantile(0.5) == pytest.approx(1.5)
-        assert histo.quantile(1.0) == pytest.approx(2.0)
+        assert histo.quantile(1.0) == pytest.approx(1.9)
 
     def test_rank_walks_across_buckets(self, registry):
         histo = registry.histogram("repro_q", buckets=(1.0, 2.0, 4.0))._default()
@@ -185,8 +186,28 @@ class TestHistogramQuantile:
 
     def test_overflow_clamps_to_last_bound(self, registry):
         histo = registry.histogram("repro_q", buckets=(1.0,))._default()
+        histo.observe(0.5)
         histo.observe(100.0)  # beyond every bound: only +Inf sees it
         assert histo.quantile(0.99) == 1.0
+
+    def test_estimate_never_leaves_the_observed_range(self, registry):
+        # The shape behind a p99 of 2.01 s against a max of 1.47 s: the
+        # tail sits low in the wide (1.024, 2.048] bucket, and linear
+        # interpolation put the top ranks near the bucket's upper bound.
+        histo = registry.histogram("repro_q")._default()
+        values = [0.4] * 1950 + [1.1 + 0.0075 * k for k in range(50)]
+        for value in values:
+            histo.observe(value)
+        assert max(values) == pytest.approx(1.4675)
+        for q in (0.5, 0.9, 0.99, 0.999, 1.0):
+            assert min(values) <= histo.quantile(q) <= max(values)
+        assert histo.quantile(1.0) == max(values)
+
+    def test_single_value_is_every_quantile(self, registry):
+        histo = registry.histogram("repro_q")._default()
+        for _ in range(3):
+            histo.observe(0.3)
+        assert histo.quantile(0.01) == histo.quantile(0.99) == 0.3
 
     def test_estimate_tracks_exact_percentile_on_default_buckets(self, registry):
         histo = registry.histogram("repro_q")._default()

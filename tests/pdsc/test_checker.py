@@ -18,6 +18,7 @@ import pytest
 from repro.core.selfcomp import SelfComposition
 from repro.domains import DOMAINS
 from repro.pdsc import PDSC
+from repro.pdsc.pairing import PairSemantics, rename_map
 from tests.helpers import compile_one
 
 ZONE = DOMAINS["zone"]
@@ -93,6 +94,19 @@ def pdsc(source, **kwargs):
     defaults = dict(epsilon=16, max_pairs=4000, max_refinements=4)
     defaults.update(kwargs)
     return PDSC(cfg, ZONE, **defaults).verify()
+
+
+def test_each_copy_drops_its_block_local_registers():
+    cfg = compile_one(LOW_LOOP, "f")
+    sem = PairSemantics(cfg, ZONE)
+    header = cfg.branch_blocks()[0]
+    local = cfg.block_locals()[header]
+    assert local
+    renamed = {rename_map(cfg)[v] for v in local}
+    for copy2, gone in ((False, local), (True, renamed)):
+        for _, out in sem.step_copy(header, sem.entry_state(), copy2):
+            mentioned = {v for cons in out.constraints() for v in cons.variables()}
+            assert not mentioned & gone
 
 
 def test_trivial_program_verifies_in_one_lockstep_round():

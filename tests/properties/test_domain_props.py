@@ -9,11 +9,12 @@ contain both operands' concretizations.
 """
 
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.domains import DOMAINS, LinCons, LinExpr
+from repro.domains import DOMAINS, LinCons, LinExpr, polyhedra
 
 VARS = ["x", "y", "z"]
 
@@ -154,3 +155,68 @@ def test_widening_terminates_on_increasing_chain(domain_name):
         previous = widened
     else:
         raise AssertionError("widening did not stabilize within 60 steps")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    envs,
+    programs,
+    st.one_of(st.none(), programs),
+    st.sets(var_names, min_size=1, max_size=2),
+    st.lists(linexprs(), min_size=1, max_size=4),
+    st.sampled_from(sorted(DOMAINS)),
+)
+@example(  # capped, the unprojected polyhedron reads x <= 125/7; exact is 17
+    lows={"x": 1, "y": 0, "z": 0},
+    program=[("guard", LinCons.le(LinExpr.constant(1), 0))],
+    widen_by=[
+        ("assign", "y", LinExpr.var("x") * 3 + 6),
+        ("guard", LinCons.le(LinExpr.var("x"), 5)),
+        ("assign", "x", LinExpr.var("x") + LinExpr.var("y") * 2 + LinExpr.var("z") - 4),
+        ("assign", "y", LinExpr.var("y") - LinExpr.var("z")),
+        ("assign", "z", None),
+    ],
+    dropped={"y"},
+    exprs=[LinExpr.constant(0)],
+    domain_name="polyhedra",
+)
+def test_project_out_is_exact(lows, program, widen_by, dropped, exprs, domain_name):
+    """Projecting variables out changes no bound over the others, and
+    keeps bottom bottom (the engine drops block-local registers this
+    way at every block exit).  ``widen_by`` also covers the unclosed
+    states widening leaves behind in the DBM domains."""
+    domain = DOMAINS[domain_name]
+
+    def run(cmds):
+        state = domain.top()
+        for width, (var, low) in enumerate(sorted(lows.items())):
+            state = state.guard(LinCons.ge(LinExpr.var(var), low))
+            state = state.guard(LinCons.le(LinExpr.var(var), low + width))
+        for cmd in cmds:
+            if cmd[0] == "assign":
+                state = state.assign(cmd[1], cmd[2])
+            else:
+                state = state.guard(cmd[1])
+        return state
+
+    kept = [v for v in VARS if v not in dropped]
+    queries = [LinExpr.var(v) for v in kept]
+    queries += [LinExpr.var(a) - LinExpr.var(b) for a in kept for b in kept if a != b]
+    for expr in exprs:
+        queries.append(
+            LinExpr({v: c for v, c in expr.coeffs.items() if v in kept}, expr.const)
+        )
+    # Past MAX_CONSTRAINTS a polyhedron's eliminations drop constraints
+    # (sound, documented), so its own bounds_of depends on elimination
+    # order; exactness is a property of the uncapped elimination.
+    with mock.patch.object(polyhedra, "MAX_CONSTRAINTS", 10**6):
+        state = run(program)
+        if widen_by is not None:
+            state = state.widen(state.join(run(widen_by)))
+        projected = state.project_out(frozenset(dropped))
+        assert projected.is_bottom() == state.is_bottom()
+        for expr in queries:
+            assert projected.bounds_of(expr) == state.bounds_of(expr), str(expr)
+        if not state.is_bottom():
+            for var in dropped:
+                assert projected.var_bounds(var) == (None, None)
