@@ -3,10 +3,21 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep bench-service bench-diffcheck bench-leakage table1 perfbench
+.PHONY: test golden test-resilience smoke-service smoke-service-load smoke-metrics diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke incremental-sweep bench-service bench-diffcheck bench-leakage table1 perfbench
 
-test: diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke smoke-service-load
+test: golden diffcheck-smoke pdsc-smoke leakage-smoke perf-smoke incremental-smoke smoke-service-load
 	$(PYTHON) -m pytest -q
+
+# Golden digests (tests/benchsuite): the Blazer digests of the 24
+# Table-1 rows and the Blazer/PDSC/leakage digests of 24 generated
+# programs must hold under the seed engine and the perf layer alike.
+# REPRO_PERF is read at import, so each setting is its own pytest run
+# (tier-1 alone only ever runs them with the default, on).
+GOLDEN_TESTS = tests/benchsuite/test_golden_digests.py tests/benchsuite/test_golden_stream_digests.py
+
+golden:
+	REPRO_PERF=0 $(PYTHON) -m pytest -q $(GOLDEN_TESTS)
+	REPRO_PERF=1 $(PYTHON) -m pytest -q $(GOLDEN_TESTS)
 
 # Differential fuzz smoke: 500 generated programs cross-checked against
 # the ground-truth timing oracle at a pinned seed (docs/DIFFCHECK.md),

@@ -10,7 +10,9 @@ Representation:
 
 * :class:`Poly` — a multivariate polynomial with rational coefficients
   over named symbols (monomials are sorted tuples of symbol names, so
-  ``g.len * p.len`` is a degree-2 monomial);
+  ``g.len * p.len`` is a degree-2 monomial).  Coefficients are
+  integer-first, like :class:`repro.domains.linexpr.LinExpr`'s: an
+  ``int`` when integral, a ``Fraction`` only otherwise;
 * :class:`CostBound` — a pair (lower, upper) where the lower bound is a
   *min-set* of polynomials and the upper bound a *max-set* (``None`` =
   unbounded).  Max-sets always contain the zero polynomial, which both
@@ -30,32 +32,34 @@ from fractions import Fraction
 from typing import ClassVar
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from repro.domains.linexpr import Coeff, _num
+
 Monomial = Tuple[str, ...]  # sorted symbol names; () is the constant term
 
 MAX_SET_SIZE = 6
 
 
 class Poly:
-    """A multivariate polynomial with Fraction coefficients."""
+    """A multivariate polynomial with exact (integer-first) coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        self.terms: Dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
+        self.terms: Dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff != 0:
-                    self.terms[mono] = Fraction(coeff)
+                    self.terms[mono] = _num(coeff)
 
     # -- constructors -------------------------------------------------------------
 
     @staticmethod
-    def constant(value) -> "Poly":
-        return Poly({(): Fraction(value)})
+    def constant(value: Coeff) -> "Poly":
+        return Poly({(): value})
 
     @staticmethod
     def symbol(name: str) -> "Poly":
-        return Poly({(name,): Fraction(1)})
+        return Poly({(name,): 1})
 
     ZERO: "Poly"
     ONE: "Poly"
@@ -67,8 +71,8 @@ class Poly:
         return all(m == () for m in self.terms)
 
     @property
-    def const_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def const_value(self) -> Coeff:
+        return self.terms.get((), 0)
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -93,20 +97,21 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (other * Fraction(-1))
+        return self + (other * -1)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: c * Fraction(other) for m, c in self.terms.items()})
-        terms: Dict[Monomial, Fraction] = {}
+        if not isinstance(other, Poly):
+            factor = _num(other)
+            return Poly({m: c * factor for m, c in self.terms.items()})
+        terms: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -174,10 +179,10 @@ def _prune_max(polys: Iterable[Poly], nonneg: FrozenSet[str]) -> Tuple[Poly, ...
     if len(kept) > MAX_SET_SIZE:
         # Collapse to the coefficient-wise maximum (sound upper bound for
         # non-negative symbols; see the module docstring).
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for p in kept:
             for mono, coeff in p.terms.items():
-                terms[mono] = max(terms.get(mono, Fraction(0)), coeff)
+                terms[mono] = max(terms.get(mono, 0), coeff)
         kept = [Poly(terms)]
     return tuple(kept)
 
@@ -192,10 +197,10 @@ def _prune_min(polys: Iterable[Poly], nonneg: FrozenSet[str]) -> Tuple[Poly, ...
     if not kept:
         kept = unique[:1]
     if len(kept) > MAX_SET_SIZE:
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Coeff] = {}
         for p in kept:
             for mono, coeff in p.terms.items():
-                terms[mono] = min(terms.get(mono, Fraction(0)), coeff)
+                terms[mono] = min(terms.get(mono, 0), coeff)
         kept = [Poly(terms)]
     return tuple(kept)
 
@@ -250,7 +255,7 @@ class CostBound:
 
     def scale(self, factor) -> "CostBound":
         """Multiply by a non-negative rational constant."""
-        f = Fraction(factor)
+        f = _num(factor)
         if f < 0:
             raise ValueError("cost bounds scale by non-negative factors only")
         lower = [p * f for p in self.lower]

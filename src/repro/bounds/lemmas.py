@@ -170,7 +170,7 @@ def match_iteration_lemmas(
             # over-approximation r/δ + 1 (e.g. a step-2 loop over an
             # even constant range has no half-iteration slack).
             upper = Poly.constant(
-                max(0, math.ceil((entry_sym.const + 1) / delta_min))
+                max(0, math.ceil(Fraction(entry_sym.const + 1) / delta_min))
             )
         else:
             upper = linexpr_to_poly(entry_sym) * (
@@ -202,7 +202,7 @@ def match_iteration_lemmas(
                         lower = Poly.constant(
                             max(
                                 0,
-                                math.ceil((entry_sym_exact.const + 1) / delta_max)
+                                math.ceil(Fraction(entry_sym_exact.const + 1) / delta_max)
                                 - concede,
                             )
                         )

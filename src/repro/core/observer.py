@@ -20,10 +20,10 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from repro.bounds.cost import CostBound, Poly
+from repro.domains.linexpr import Coeff
 
 
 def effective_slack(value) -> int:
@@ -44,10 +44,10 @@ def effective_slack(value) -> int:
 
 def _collapse_max(polys) -> Poly:
     """Coefficient-wise maximum — a representative of a max-set."""
-    terms: Dict[tuple, Fraction] = {}
+    terms: Dict[tuple, Coeff] = {}
     for p in polys:
         for mono, coeff in p.terms.items():
-            terms[mono] = max(terms.get(mono, Fraction(0)), coeff)
+            terms[mono] = max(terms.get(mono, 0), coeff)
     return Poly(terms)
 
 
@@ -56,7 +56,7 @@ def _nonconst_monomials(poly: Poly):
 
 
 def _collapse_min(polys) -> Poly:
-    terms: Dict[tuple, Fraction] = {}
+    terms: Dict[tuple, Coeff] = {}
     first = True
     for p in polys:
         if first:
@@ -65,7 +65,7 @@ def _collapse_min(polys) -> Poly:
             continue
         keys = set(terms) | set(p.terms)
         terms = {
-            mono: min(terms.get(mono, Fraction(0)), p.terms.get(mono, Fraction(0)))
+            mono: min(terms.get(mono, 0), p.terms.get(mono, 0))
             for mono in keys
         }
     return Poly(terms)

@@ -22,6 +22,10 @@ encode +∞ as ``float("inf")`` instead of ``None``:
   either evaluation order — so the row-snapshot kernels compute
   *identical* results to the in-place reference loop.
 
+The incremental closure after one tightened bound (``tighten_rows``)
+is sparse instead: it relaxes, entry by entry, only the rows and
+columns the triangle inequality lets the new bound improve.
+
 ``closure_reference`` preserves the original ``None``-encoded triple
 loop verbatim; the property tests in ``tests/domains`` use it as the
 oracle that the flat kernels agree with the seed semantics entry-wise.
@@ -125,19 +129,43 @@ def tighten_rows(m: Rows, n: int, a: int, b: int, c) -> None:
     ``min(m[i][j], m[i][a] + c + m[b][j])`` — every path either avoids
     the new edge or uses it once.  The caller must have checked
     consistency (``m[b][a] + c >= 0``) and that the update actually
-    tightens (``c < m[a][b]``).  O(n²).
+    tightens (``c < m[a][b]``).
+
+    Only a few entries can change, and the triangle inequality of the
+    closed matrix says which: ``m[i][a] + c + m[b][j] < m[i][j]``
+    implies ``m[i][a] + c < m[i][b]`` (as ``m[i][j] <= m[i][b] +
+    m[b][j]``) and ``c + m[b][j] < m[a][j]`` (as ``m[i][j] <= m[i][a] +
+    m[a][j]``).  So the sweep relaxes just those rows ``i`` and columns
+    ``j``: O(n) to find them plus one step per entry of their product,
+    instead of O(n²).  Row ``a`` and column ``b`` are always swept,
+    since a caller may have preset ``m[a][b] = c`` (which hides them
+    from both tests).  Row ``b`` and column ``a`` never change
+    (consistency), so the snapshot ``c + m[b][·]`` stays exact while
+    rows are updated in place.  A candidate replaces an entry only when
+    strictly smaller, and a zero ``m[i][a]`` reuses the shifted value
+    itself, so unchanged entries keep their object and type (an
+    integral ``Fraction`` stays one, an ``int`` is never widened).
     """
     timed = _obs_enabled()
     start = perf_counter() if timed else 0.0
+    row_a = m[a]
     shifted = [c + v for v in m[b]]
+    cols = [j for j in range(n) if j == b or shifted[j] < row_a[j]]
     for i in range(n):
         row_i = m[i]
         mia = row_i[a]
-        if mia < INF:
-            if mia:
-                m[i] = list(map(min, row_i, [mia + v for v in shifted]))
-            else:
-                m[i] = list(map(min, row_i, shifted))
+        if i != a and not mia + c < row_i[b]:
+            continue
+        if mia:
+            for j in cols:
+                cand = mia + shifted[j]
+                if cand < row_i[j]:
+                    row_i[j] = cand
+        else:
+            for j in cols:
+                cand = shifted[j]
+                if cand < row_i[j]:
+                    row_i[j] = cand
     if timed:
         _observe_closure("tighten", perf_counter() - start)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains.base import AbstractState, Bound, Domain
-from repro.domains.linexpr import LinCons, LinExpr, RelOp
+from repro.domains.linexpr import Coeff, LinCons, LinExpr, RelOp
 
 
 class Interval:
@@ -87,7 +87,7 @@ def _add(a: Bound, b: Bound) -> Bound:
     return None if a is None or b is None else a + b
 
 
-def _mul_bound(a: Bound, factor: Fraction) -> Bound:
+def _mul_bound(a: Bound, factor: Coeff) -> Bound:
     if factor == 0:
         return Fraction(0)
     return None if a is None else a * factor
@@ -199,7 +199,7 @@ class IntervalState(AbstractState):
             limit = rest_iv.lo
             if limit is None:
                 continue
-            bound = -limit / coeff
+            bound = Fraction(-limit) / coeff
             box = boxes.get(var, Interval.TOP)
             if coeff > 0:
                 new_box = box.meet(Interval(None, bound))

@@ -5,6 +5,14 @@ The shared constraint language of every numeric abstract domain in
 with rational coefficients, and constraints ``e <= 0`` / ``e == 0`` (with
 ``e < 0`` normalized to ``e <= -1`` since all program values are
 integers).
+
+Coefficients and constants are *integer-first* (see :func:`_num`): an
+``int`` when the value is integral, a ``Fraction`` only when its
+denominator exceeds 1.  Almost every value in a program is an integer,
+and ``int`` arithmetic is an order of magnitude cheaper than
+``Fraction`` arithmetic; equal values keep one representation, so
+hashes, orderings and renderings do not depend on how a value was
+computed.
 """
 
 from __future__ import annotations
@@ -14,6 +22,21 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Coeff = Union[int, Fraction]
+
+
+def _num(value: Coeff) -> Coeff:
+    """The normal form of an exact number: ``int`` when integral, else a
+    ``Fraction`` with denominator > 1.  Shared by :class:`LinExpr`, the
+    cost algebra's ``Poly`` and the DBM entries of the zone and octagon
+    domains.  A ``float`` is rejected: the analysis is exact, and a
+    binary float silently rounds."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
+    raise TypeError("exact number expected, got %r" % (value,))
 
 
 def _frac(value: Coeff) -> Fraction:
@@ -34,11 +57,10 @@ class LinExpr:
         items = {}
         if coeffs:
             for var, coeff in coeffs.items():
-                f = _frac(coeff)
-                if f != 0:
-                    items[var] = f
-        self.coeffs: Dict[str, Fraction] = items
-        self.const: Fraction = _frac(const)
+                if coeff != 0:
+                    items[var] = _num(coeff)
+        self.coeffs: Dict[str, Coeff] = items
+        self.const: Coeff = _num(const)
 
     # -- constructors ---------------------------------------------------------
 
@@ -59,11 +81,11 @@ class LinExpr:
     def variables(self) -> Tuple[str, ...]:
         return tuple(sorted(self.coeffs))
 
-    def coeff(self, var: str) -> Fraction:
-        return self.coeffs.get(var, Fraction(0))
+    def coeff(self, var: str) -> Coeff:
+        return self.coeffs.get(var, 0)
 
     def evaluate(self, env: Mapping[str, Coeff]) -> Fraction:
-        total = self.const
+        total = _frac(self.const)
         for var, coeff in self.coeffs.items():
             total += coeff * _frac(env[var])
         return total
@@ -85,10 +107,10 @@ class LinExpr:
 
     def __add__(self, other: Union["LinExpr", Coeff]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const + _frac(other))
+            return LinExpr(self.coeffs, self.const + other)
         coeffs = dict(self.coeffs)
         for var, coeff in other.coeffs.items():
-            coeffs[var] = coeffs.get(var, Fraction(0)) + coeff
+            coeffs[var] = coeffs.get(var, 0) + coeff
         return LinExpr(coeffs, self.const + other.const)
 
     def __radd__(self, other: Coeff) -> "LinExpr":
@@ -99,14 +121,14 @@ class LinExpr:
 
     def __sub__(self, other: Union["LinExpr", Coeff]) -> "LinExpr":
         if isinstance(other, (int, Fraction)):
-            return LinExpr(self.coeffs, self.const - _frac(other))
+            return LinExpr(self.coeffs, self.const - other)
         return self + (-other)
 
     def __rsub__(self, other: Coeff) -> "LinExpr":
         return (-self) + other
 
     def __mul__(self, factor: Coeff) -> "LinExpr":
-        f = _frac(factor)
+        f = _num(factor)
         return LinExpr({v: c * f for v, c in self.coeffs.items()}, self.const * f)
 
     def __rmul__(self, factor: Coeff) -> "LinExpr":

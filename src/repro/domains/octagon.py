@@ -20,16 +20,9 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
-from repro.domains.linexpr import LinCons, LinExpr, RelOp
+from repro.domains.linexpr import Coeff, LinCons, LinExpr, RelOp, _num
 
 Matrix = List[List[Bound]]
-
-
-def _norm(value):
-    """Integral bounds as plain ints (see the zone domain's rationale)."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def _bar(i: int) -> int:
@@ -141,7 +134,7 @@ class OctagonState(AbstractState):
 
     def _set(self, m: Matrix, i: int, j: int, bound) -> None:
         """Tighten m[i][j] (and its coherent mirror) to ``bound``."""
-        bound = _norm(bound)
+        bound = _num(bound)
         if m[i][j] is None or bound < m[i][j]:
             m[i][j] = bound
         bi, bj = _bar(j), _bar(i)
@@ -227,12 +220,12 @@ class OctagonState(AbstractState):
                 m = state._copy_matrix()
                 n = state._dim()
 
-                def shift(i: int) -> Fraction:
+                def shift(i: int) -> Coeff:
                     if i == x:
                         return c
                     if i == x + 1:
                         return -c
-                    return Fraction(0)
+                    return 0
 
                 for i in range(n):
                     for j in range(n):
@@ -326,7 +319,7 @@ class OctagonState(AbstractState):
                 rest_lo, _ = closed.bounds_of(rest)
                 if rest_lo is None:
                     continue
-                limit = -rest_lo / coeff
+                limit = Fraction(-rest_lo) / coeff
                 x = state._index[var]
                 if coeff > 0:
                     self._set(m, x, x + 1, 2 * limit)
@@ -407,8 +400,8 @@ class OctagonState(AbstractState):
         # base name first, so seeded queries like
         # (low - i) - (low@pre - i@pre) stay exact — then unary
         # leftovers from the ±x bounds.
-        pos: Dict[str, Fraction] = {}
-        neg: Dict[str, Fraction] = {}
+        pos: Dict[str, Coeff] = {}
+        neg: Dict[str, Coeff] = {}
         for var, coeff in expr.coeffs.items():
             if coeff > 0:
                 pos[var] = coeff

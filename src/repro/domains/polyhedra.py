@@ -232,10 +232,10 @@ class PolyhedraState(AbstractState):
         for e in cons:
             coeff = e.coeff(fresh)
             if coeff > 0:  # coeff*fresh + const <= 0  =>  fresh <= -const/coeff
-                bound = -e.const / coeff
+                bound = Fraction(-e.const) / coeff
                 hi = bound if hi is None else min(hi, bound)
             elif coeff < 0:  # fresh >= -const/coeff
-                bound = -e.const / coeff
+                bound = Fraction(-e.const) / coeff
                 lo = bound if lo is None else max(lo, bound)
             elif e.const > 0:
                 return Fraction(0), Fraction(-1)  # infeasible

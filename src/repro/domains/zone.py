@@ -12,8 +12,10 @@ bound on ``v_i - v_j``, with ``dbm.INF`` (``float("inf")``) encoding
 +∞ so the closure kernels can relax whole rows with ``map(min, ...)``
 instead of testing ``is None`` per entry (see
 :mod:`repro.domains.dbm`).  Closure is Floyd–Warshall for a cold
-matrix and the exact O(n²) incremental tightening for the
-one-constraint updates ``assign``/``guard`` produce — on *both* the
+matrix and the exact sparse incremental tightening
+(:func:`repro.domains.dbm.tighten_rows`, which relaxes only the rows
+and columns a new bound can improve) for the one-constraint updates
+``assign``/``guard`` produce — on *both* the
 perf-on and perf-off paths: the incremental closure of a DBM equals
 its re-closure (shortest paths are unique), so the digests are
 unchanged while the dominant O(n³) loop disappears from the hot path.
@@ -32,21 +34,11 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 from repro.domains import dbm
 from repro.domains.base import AbstractState, Bound, Domain
 from repro.domains.dbm import INF, NEG_INF
-from repro.domains.linexpr import LinCons, LinExpr, RelOp
+from repro.domains.linexpr import Coeff, LinCons, LinExpr, RelOp, _num
 from repro.perf import runtime
 from repro.resilience import faults
 
 Matrix = List[List[object]]
-
-
-def _norm(value):
-    """Store integral bounds as plain ints: Fraction arithmetic is ~20x
-    slower than int arithmetic, and the closure kernels are the hot
-    loop of the whole tool.  Mixed int/Fraction comparisons and sums
-    are exact either way."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 _INDEX_CACHE: Dict[Tuple[str, ...], Dict[str, int]] = {}
@@ -232,7 +224,9 @@ class ZoneState(AbstractState):
 
     def _tightened(self, updates: Sequence[Tuple[int, int, object]]) -> "ZoneState":
         """Exact closure after tightening individual entries of a closed
-        matrix: O(n²) per update instead of the O(n³) Floyd–Warshall.
+        matrix: at most O(n²) per update, and usually far less (see
+        :func:`repro.domains.dbm.tighten_rows`), instead of the O(n³)
+        Floyd–Warshall.
 
         For a closed matrix ``m`` and a new constraint ``v_a - v_b <= c``
         the closure of the tightened system is
@@ -257,7 +251,7 @@ class ZoneState(AbstractState):
         m: Optional[Matrix] = None
         n = base._dim()
         for a, b, c in updates:
-            c = _norm(c)
+            c = _num(c)
             src = base._m if m is None else m
             if src[a][b] <= c:
                 continue
@@ -281,13 +275,13 @@ class ZoneState(AbstractState):
         through the fresh ``x`` must enter and leave it via the equality
         edges, and entries not involving ``x`` are already shortest
         (hacking through ``x`` adds the zero-weight cycle ``y→x→y``).
-        O(n) instead of two O(n²) tightening sweeps; entry-wise identical
-        to what ``forget`` + ``_tightened`` produce.
+        O(n) in one pass; entry-wise identical to what ``forget`` +
+        ``_tightened`` produce.
         """
         base = self if self._closed else self._close()
         if base._bottom:
             return base
-        c = _norm(c)
+        c = _num(c)
         m = base._copy_matrix()
         row_x = [v + c for v in m[y]]
         row_x[x] = 0
@@ -413,7 +407,7 @@ class ZoneState(AbstractState):
             (src, coeff), = coeffs.items()
             if coeff == 1 and src == var:
                 # var := var + c : shift the row/column.
-                c = _norm(expr.const)
+                c = expr.const
                 m = state._copy_matrix()
                 n = state._dim()
                 row_x = m[x]
@@ -488,7 +482,7 @@ class ZoneState(AbstractState):
                 rest_lo, _ = closed.bounds_of(rest)
                 if rest_lo is None:
                     continue
-                limit = -rest_lo / coeff
+                limit = Fraction(-rest_lo) / coeff
                 x = state._index[var]
                 if coeff > 0:
                     updates.append((x, 0, limit))
@@ -549,8 +543,8 @@ class ZoneState(AbstractState):
         # differ only by a suffix (x vs x@pre / x@seed) are matched first:
         # seeded transition queries like (low - i) - (low@pre - i@pre)
         # become exact this way.
-        pos: Dict[str, Fraction] = {}
-        neg: Dict[str, Fraction] = {}
+        pos: Dict[str, Coeff] = {}
+        neg: Dict[str, Coeff] = {}
         for var, coeff in expr.coeffs.items():
             if coeff > 0:
                 pos[var] = coeff

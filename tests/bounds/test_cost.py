@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bounds.cost import CostBound, Poly
+from repro.bounds.cost import MAX_SET_SIZE, CostBound, Poly
 
 L = frozenset({"n"})
 
@@ -44,6 +44,57 @@ class TestPoly:
 
     def test_str_readable(self):
         assert str(23 * sym("g#len") + Poly.constant(10)) == "23*g#len + 10"
+
+
+def is_normal(value):
+    """Integer-first normal form: an int, or a Fraction that is not one."""
+    if type(value) is int:
+        return True
+    return type(value) is Fraction and value.denominator > 1
+
+
+class TestIntegerFirst:
+    def test_integral_coefficients_are_ints(self):
+        p = Poly({(): Fraction(6, 3), ("n",): Fraction(2), ("m",): Fraction(0)})
+        assert p.terms == {(): 2, ("n",): 2}
+        assert all(type(c) is int for c in p.terms.values())
+        assert type(Poly.symbol("n").terms[("n",)]) is int
+
+    def test_halves_that_sum_to_an_integer_normalize(self):
+        half = sym("n") * Fraction(1, 2) + Poly.constant(Fraction(1, 2))
+        assert all(type(c) is Fraction for c in half.terms.values())
+        whole = half + half
+        assert whole == sym("n") + Poly.ONE
+        assert all(type(c) is int for c in whole.terms.values())
+        assert (whole - half).terms == half.terms
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            Poly.constant(0.5)
+        with pytest.raises(TypeError):
+            sym("n") * 1.5
+        with pytest.raises(TypeError):
+            CostBound.exact(sym("n")).scale(0.5)
+
+    def test_evaluate_stays_exact(self):
+        value = (sym("n") * Fraction(1, 3)).evaluate({"n": 2})
+        assert type(value) is Fraction and value == Fraction(2, 3)
+        assert type(Poly.constant(3).evaluate({})) is Fraction
+        lo, hi = CostBound.range(Poly.constant(1), 2 * sym("n"), L).evaluate({"n": 4})
+        assert type(lo) is Fraction and type(hi) is Fraction
+
+    def test_scale_and_collapse_keep_the_normal_form(self):
+        bound = CostBound.range(sym("n"), 3 * sym("n") + Poly.constant(1), L)
+        scaled = bound.scale(Fraction(2, 3))
+        for p in scaled.lower + scaled.upper:
+            assert all(is_normal(c) for c in p.terms.values())
+        collapsed = CostBound.exact(Poly.ZERO, L)
+        for k in range(MAX_SET_SIZE + 3):
+            collapsed = collapsed.join(
+                CostBound.exact(sym("n") * Fraction(k, 2) + Poly.constant(k), L)
+            )
+        for p in collapsed.lower + collapsed.upper:
+            assert all(is_normal(c) for c in p.terms.values())
 
 
 class TestCostBound:

@@ -160,3 +160,25 @@ class TestLemmaMatching:
             inner_loops_finite=True,
         )
         assert bound.upper is None and str(bound.lower) == "0"
+
+    def test_constant_rank_ceiling_is_exact_on_big_integers(self):
+        # Rank n - i - 1 = 10**17 at entry, decreasing by exactly 3: the
+        # count is ceil((10**17 + 1) / 3).  Both operands are ints, and a
+        # float division would round to 33333333333333332.
+        entry = ZONE.top().assign("i", LinExpr.constant(0))
+        entry = entry.assign("n", LinExpr.constant(10**17 + 1))
+        bound = match_iteration_lemmas(
+            candidates=[RANK],
+            transition=make_transition(3, 3),
+            entry_state=entry,
+            seeded_vars={"i", "n"},
+            symbols=[],
+            single_exit_branch=RANK.branch_node,
+            inner_loops_finite=True,
+        )
+        expected = -(-(10**17 + 1) // 3)
+        assert expected == 33333333333333334
+        assert bound.upper.terms == {(): expected}
+        assert bound.lower.terms == {(): expected}
+        assert bound.exact
+        assert type(bound.upper.const_value) is int

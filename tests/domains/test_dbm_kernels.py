@@ -6,8 +6,10 @@ DBMs (ints and Fractions, varying +∞ density, planted negative cycles):
 
 * the flat Floyd–Warshall kernel must agree entry-wise, including the
   inconsistency verdict and the int-vs-Fraction *type* of every entry;
-* the O(n²) incremental closure after one tightened constraint must
-  agree with re-closing the tightened matrix from scratch;
+* the sparse incremental closure after one tightened constraint must
+  agree with re-closing the tightened matrix from scratch, whether or
+  not the caller preset the tightened entry, keep the type of every
+  entry, and leave the rows it cannot change alone;
 * the bytes cache key must be injective where defined and refuse
   exactly the matrices it cannot encode.
 """
@@ -37,6 +39,44 @@ def random_opt_matrix(rng, n, frac_prob=0.0, inf_prob=0.35, lo=-8, hi=12):
                 row.append(rng.randint(lo, hi))
         m.append(row)
     return m
+
+
+def tightening_case(rng, frac_prob=0.0, integral_prob=0.0, zero_prob=0.0):
+    """A closed random DBM and a strictly tightening, still consistent
+    ``v_a - v_b <= c`` for it (None when the draw is empty or would go
+    empty).  ``integral_prob``/``zero_prob`` turn finite entries into
+    integral Fractions and ``Fraction(0)``."""
+    n = rng.randint(2, 7)
+    matrix = random_opt_matrix(rng, n, frac_prob=frac_prob)
+    for i in range(n):
+        for j in range(n):
+            if i == j or matrix[i][j] is None:
+                continue
+            if rng.random() < integral_prob:
+                matrix[i][j] = Fraction(int(matrix[i][j]))
+            elif rng.random() < zero_prob:
+                matrix[i][j] = Fraction(0)
+    closed, empty = dbm.closure_reference(matrix)
+    if empty:
+        return None
+    a, b = rng.sample(range(n), 2)
+    old = closed[a][b]
+    c = (old - rng.randint(1, 3)) if old is not None else rng.randint(-3, 3)
+    if rng.random() < integral_prob:
+        c = Fraction(c)
+    back = closed[b][a]
+    if back is not None and back + c < 0:
+        return None
+    return closed, n, a, b, c
+
+
+def reclosed(closed, a, b, c):
+    """The reference re-closure of ``closed`` with ``m[a][b] = c``."""
+    tightened = [list(r) for r in closed]
+    tightened[a][b] = c
+    expect, empty = dbm.closure_reference(tightened)
+    assert not empty
+    return expect
 
 
 def close_flat(matrix):
@@ -116,6 +156,100 @@ class TestIncrementalClosureAgreesWithFull:
         expect, expect_empty = dbm.closure_reference(tightened)
         assert not expect_empty
         assert dbm.rows_to_opt(rows) == expect
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tighten_without_preset_matches_reclose(self, seed):
+        # The zone domain's convention: m[a][b] still holds the old bound.
+        rng = random.Random(3500 + seed)
+        case = tightening_case(rng, frac_prob=0.2 if seed % 3 == 0 else 0.0)
+        if case is None:
+            return
+        closed, n, a, b, c = case
+        rows = dbm.rows_from_opt(closed)
+        dbm.tighten_rows(rows, n, a, b, c)
+        assert dbm.rows_to_opt(rows) == reclosed(closed, a, b, c)
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_tighten_keeps_entry_types(self, seed):
+        """Zero and integral-Fraction entries: every entry equals the
+        re-closure's, type included, except where ``m[i][a]`` is a zero:
+        there the kernel stores ``c + m[b][j]`` itself (an int stays an
+        int) where the reference loop adds the ``Fraction(0)`` in."""
+        rng = random.Random(4000 + seed)
+        case = tightening_case(rng, frac_prob=0.3, integral_prob=0.3, zero_prob=0.15)
+        if case is None:
+            return
+        closed, n, a, b, c = case
+        expect = reclosed(closed, a, b, c)
+        for preset in (False, True):
+            rows = dbm.rows_from_opt(closed)
+            if preset:
+                rows[a][b] = c
+            dbm.tighten_rows(rows, n, a, b, c)
+            got = dbm.rows_to_opt(rows)
+            assert got == expect
+            for i in range(n):
+                for j in range(n):
+                    if type(got[i][j]) is type(expect[i][j]):
+                        continue
+                    assert closed[i][a] == 0 and got[i][j] != closed[i][j]
+                    assert type(got[i][j]) is type(c + closed[b][j])
+
+    def test_zero_entry_reuses_the_shifted_value(self):
+        # v1 - v2 <= Fraction(0) and a new v2 - v0 <= 3: v1 - v0 <= 3
+        # stays an int, as it did under the dense sweep.
+        closed = [[0, INF, INF], [INF, 0, Fraction(0)], [INF, INF, 0]]
+        dbm.tighten_rows(closed, 3, 2, 0, 3)
+        assert closed[2][0] == 3 and closed[1][0] == 3
+        assert type(closed[1][0]) is int
+
+    def test_ties_keep_the_old_entry(self):
+        # v0 - v3 <= Fraction(3) already equals the path v0 -> v1 -> v2 -> v3
+        # through the new v1 - v2 <= 1: the entry keeps its Fraction.
+        m = [
+            [0, 1, 5, Fraction(3)],
+            [INF, 0, 4, 5],
+            [INF, INF, 0, 1],
+            [INF, INF, INF, 0],
+        ]
+        dbm.tighten_rows(m, 4, 1, 2, 1)
+        assert m[0] == [0, 1, 2, 3] and m[1] == [INF, 0, 1, 2]
+        assert type(m[0][3]) is Fraction
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_untouched_rows_keep_their_objects(self, seed):
+        rng = random.Random(5000 + seed)
+        case = tightening_case(rng, frac_prob=0.2)
+        if case is None:
+            return
+        closed, n, a, b, c = case
+        # Scaled past CPython's small-int cache, so that a tie rewritten
+        # with a freshly computed equal value shows up as a new object.
+        big = 1000
+        closed = [[None if v is None else v * big for v in row] for row in closed]
+        c *= big
+        rows = dbm.rows_from_opt(closed)
+        before = list(rows)
+        snapshot = [list(row) for row in rows]
+        dbm.tighten_rows(rows, n, a, b, c)
+        for i in range(n):
+            assert rows[i] is before[i]
+            for j in range(n):
+                if rows[i][j] == snapshot[i][j]:
+                    assert rows[i][j] is snapshot[i][j]
+
+    def test_planted_no_change_leaves_every_row_untouched(self):
+        # The caller preset v0 - v1 <= 2 (was 3).  No other row reaches
+        # v0 and v1 reaches nothing, so the bound propagates nowhere: no
+        # row changes, and every row and entry object survives.
+        m = [[0, 3, INF], [INF, 0, INF], [INF, INF, 0]]
+        m[0][1] = 2
+        rows = list(m)
+        entries = [[id(v) for v in row] for row in m]
+        dbm.tighten_rows(m, 3, 0, 1, 2)
+        assert all(m[i] is rows[i] for i in range(3))
+        assert [[id(v) for v in row] for row in m] == entries
+        assert m == [[0, 2, INF], [INF, 0, INF], [INF, INF, 0]]
 
 
 class TestIntKey:
